@@ -13,7 +13,6 @@ import (
 
 	"ekho/internal/experiments"
 	"ekho/internal/hub"
-	"ekho/internal/transport"
 )
 
 // runExperiment executes one experiment per benchmark iteration and
@@ -200,52 +199,6 @@ func runExperimentHelper(b *testing.B) {
 		"haptic_skew_p95_ms":   "ms-haptic-p95",
 		"multi_insync_min_pct": "%multi-insync",
 	})
-}
-
-// BenchmarkHubDemux measures the hub's packet demultiplexing path alone:
-// chat packets for 64 registered (but not yet streaming) sessions are
-// dispatched across the sharded registry, so the cost is the hash, the
-// shard lookup and the worker handoff without any DSP behind it.
-func BenchmarkHubDemux(b *testing.B) {
-	const sessions = 64
-	mem := hub.NewMemNet()
-	conn := mem.Endpoint("hub")
-	h := hub.New(hub.Config{
-		Capacity:    sessions,
-		TickEvery:   -1,
-		IdleTimeout: -1,
-	}, conn)
-	done := make(chan error, 1)
-	go func() { done <- h.Serve() }()
-	from := mem.Endpoint("bench-client").LocalAddr()
-	msgs := make([]transport.Message, sessions)
-	for i := range msgs {
-		id := uint32(i + 1)
-		h.Dispatch(transport.Message{
-			Type:    transport.TypeHello,
-			Session: id,
-			Hello:   transport.Hello{Session: id, Role: transport.RoleScreen},
-			From:    from,
-		})
-		msgs[i] = transport.Message{
-			Type:    transport.TypeChat,
-			Session: id,
-			Chat:    transport.Chat{Session: id},
-			From:    from,
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Dispatch(msgs[i%sessions])
-	}
-	b.StopTimer()
-	h.Close()
-	if err := <-done; err != nil {
-		b.Fatalf("hub serve: %v", err)
-	}
-	if got := h.Stats().Admitted; got != sessions {
-		b.Fatalf("admitted %d sessions, want %d", got, sessions)
-	}
 }
 
 // BenchmarkHubSessions measures a full 64-session hub: every iteration

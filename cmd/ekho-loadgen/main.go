@@ -7,10 +7,10 @@
 // in stages until the p99 dispatch latency or the shed rate breaches its
 // threshold. The last sustained stage becomes the capacity baseline.
 //
-// The run also micro-compares the batched decode→dispatch path against
-// the legacy per-packet path on an in-process hub, yielding ns/packet
-// and allocs/packet for both. Everything is written as JSON (default
-// BENCH_hub.json), the hub perf baseline future PRs diff against:
+// The run also times the decode→dispatch→process path alone on an
+// in-process hub, yielding ns/packet and allocs/packet without sockets
+// or DSP. Everything is written as JSON (default BENCH_hub.json), the
+// hub perf baseline future PRs diff against:
 //
 //	ekho-loadgen -out BENCH_hub.json
 //	ekho-loadgen -start 4 -step 4 -max-sessions 8 -stage 500ms \
@@ -69,7 +69,7 @@ func main() {
 	maxShed := flag.Float64("max-shed", 0.01, "shed-rate breach threshold (fraction of inbound packets)")
 	pairs := flag.Int("sockets", 8, "client socket pairs (sessions are multiplexed across them)")
 	shards := flag.Int("shards", 8, "hub shards")
-	comparePackets := flag.Int("compare-packets", 200000, "packets per path in the batched-vs-per-packet comparison (0 = skip)")
+	comparePackets := flag.Int("compare-packets", 200000, "packets in the in-process dispatch measurement (0 = skip)")
 	out := flag.String("out", "BENCH_hub.json", "output JSON path (empty = stdout only)")
 	wireList := flag.String("wire", "v2,rtp", "comma-separated wire framings to ramp (v2, rtp); the first is the baseline")
 	admin := flag.String("admin", "", "serve the hub's /metrics and /sessions on this address during the ramp (empty = off)")
@@ -101,14 +101,13 @@ func main() {
 	}
 
 	if *comparePackets > 0 {
-		log.Printf("comparing per-packet vs batched dispatch over %d packets each...", *comparePackets)
+		log.Printf("timing in-process dispatch over %d packets...", *comparePackets)
 		cmp, err := runCompare(*comparePackets, *shards)
 		if err != nil {
 			log.Fatalf("compare: %v", err)
 		}
 		report.Compare = cmp
-		log.Printf("per-packet %.0f ns/pkt, batched %.0f ns/pkt (%.1f%% fewer), batched allocs/pkt %.3f",
-			cmp.PerPacketNs, cmp.BatchedNs, cmp.ImprovementPct, cmp.BatchedAllocsPerPacket)
+		log.Printf("dispatch %.0f ns/pkt, %.3f allocs/pkt", cmp.BatchedNs, cmp.BatchedAllocsPerPacket)
 	}
 
 	for i, w := range wires {
@@ -188,12 +187,12 @@ type RunConfig struct {
 	Shards      int     `json:"shards"`
 }
 
-// Compare holds the batched-vs-per-packet dispatch micro-comparison.
+// Compare holds the in-process dispatch measurement. Its JSON keys keep
+// the names of the retired per-packet comparison, so older baselines
+// still diff field by field.
 type Compare struct {
 	Packets                int     `json:"packets_per_path"`
-	PerPacketNs            float64 `json:"per_packet_ns_per_packet"`
 	BatchedNs              float64 `json:"batched_ns_per_packet"`
-	ImprovementPct         float64 `json:"batched_improvement_pct"`
 	BatchedAllocsPerPacket float64 `json:"batched_allocs_per_packet"`
 }
 
@@ -601,13 +600,12 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// runCompare measures the decode→dispatch→process cost per packet on
-// the legacy per-packet path versus the batched path, against an
-// in-process hub whose sessions treat media as a routing no-op — so the
-// delta is pure wire-path overhead, not DSP. SessionStats round-trips
-// through every shard worker's queue, making it a processing barrier:
-// both timed windows include full drain, so they measure throughput,
-// not enqueue rate.
+// runCompare measures the decode→dispatch→process cost per packet
+// against an in-process hub whose sessions treat media as a routing
+// no-op — so the figure is pure wire-path overhead, not DSP.
+// SessionInfos round-trips through every shard worker's queue, making it
+// a processing barrier: the timed window includes full drain, so it
+// measures throughput, not enqueue rate.
 func runCompare(packets, shards int) (*Compare, error) {
 	const sessions = 64
 	mem := hub.NewMemNet()
@@ -624,15 +622,16 @@ func runCompare(packets, shards int) (*Compare, error) {
 	for i := range samples {
 		samples[i] = int16(i)
 	}
+	hellos := make([]transport.Message, sessions)
 	raw := make([][]byte, sessions)
 	for i := range raw {
 		id := uint32(i + 1)
-		h.Dispatch(transport.Message{
+		hellos[i] = transport.Message{
 			Type:    transport.TypeHello,
 			Session: id,
 			Hello:   transport.Hello{Session: id, Role: transport.RoleScreen},
 			From:    from,
-		})
+		}
 		b, err := transport.EncodeMedia(transport.Media{
 			Seq: uint32(i), Session: id, ContentStart: int64(i) * ekho.FrameSamples, Samples: samples})
 		if err != nil {
@@ -640,6 +639,7 @@ func runCompare(packets, shards int) (*Compare, error) {
 		}
 		raw[i] = b
 	}
+	h.DispatchBatch(hellos)
 	deadline := time.Now().Add(10 * time.Second)
 	for h.Stats().Admitted < sessions {
 		if time.Now().After(deadline) {
@@ -648,16 +648,6 @@ func runCompare(packets, shards int) (*Compare, error) {
 		time.Sleep(time.Millisecond)
 	}
 
-	perPacket := func(n int) {
-		for i := 0; i < n; i++ {
-			msg, err := transport.Decode(raw[i%sessions])
-			if err != nil {
-				panic(err)
-			}
-			h.Dispatch(msg)
-		}
-		h.SessionStats() // barrier: every worker has drained its queue
-	}
 	msgs := make([]transport.Message, batchLen)
 	batched := func(n int) {
 		for i := 0; i < n; i += batchLen {
@@ -672,19 +662,14 @@ func runCompare(packets, shards int) (*Compare, error) {
 			}
 			h.DispatchBatch(msgs[:k])
 		}
-		h.SessionStats()
+		h.SessionInfos() // barrier: every worker has drained its queue
 	}
 
-	perPacket(packets / 10) // warm both paths
-	batched(packets / 10)
-
-	t0 := time.Now()
-	perPacket(packets)
-	perNs := float64(time.Since(t0)) / float64(packets)
+	batched(packets / 10) // warm up
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	t0 = time.Now()
+	t0 := time.Now()
 	batched(packets)
 	batchNs := float64(time.Since(t0)) / float64(packets)
 	runtime.ReadMemStats(&m1)
@@ -696,9 +681,7 @@ func runCompare(packets, shards int) (*Compare, error) {
 	}
 	return &Compare{
 		Packets:                packets,
-		PerPacketNs:            perNs,
 		BatchedNs:              batchNs,
-		ImprovementPct:         100 * (1 - batchNs/perNs),
 		BatchedAllocsPerPacket: float64(m1.Mallocs-m0.Mallocs) / float64(packets),
 	}, nil
 }

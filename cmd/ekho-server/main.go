@@ -56,6 +56,7 @@ import (
 	"ekho"
 	"ekho/internal/hub"
 	"ekho/internal/rtp"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
@@ -120,9 +121,8 @@ func main() {
 		Detector:    det,
 		RecordDir:   *record,
 		Logf:        log.Printf,
-		OnSessionEnd: func(id uint32, r hub.SessionResult) {
-			log.Printf("session %d ended: %d frames, %d measurements, %d actions",
-				id, r.Frames, r.Measurements, r.Actions)
+		OnSessionEnd: func(id uint32, r trace.SessionStat) {
+			log.Printf("ended %s", r)
 		},
 	}, conn)
 
@@ -151,7 +151,7 @@ func main() {
 			case sig := <-sigs:
 				if sig == syscall.SIGHUP {
 					log.Printf("stats: %s", h.Stats())
-					for _, st := range h.SessionStats() {
+					for _, st := range h.SessionInfos() {
 						log.Printf("%s", st)
 					}
 					continue

@@ -265,8 +265,9 @@ type (
 	TraceRecorder = trace.Recorder
 	// ReplayReport summarizes one deterministic replay.
 	ReplayReport = trace.ReplayReport
-	// SessionStat is the stable one-line-per-session status format shared
-	// by the live server's SIGHUP dump and the replayer's final report.
+	// SessionStat is the one per-session record: the hub's /sessions
+	// JSON and end-of-session result, and (through String) the stable
+	// status line of the SIGHUP dump and the replayer's final report.
 	SessionStat = trace.SessionStat
 )
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,11 @@ func TestAdminEndpoints(t *testing.T) {
 	defer h.Close()
 
 	from := mem.Endpoint("client").LocalAddr()
-	h.Dispatch(transport.Message{
+	h.DispatchBatch([]transport.Message{{
 		Type: transport.TypeHello, Session: 7,
 		Hello: transport.Hello{Session: 7, Role: transport.RoleScreen},
 		Wire:  transport.WireRTP, From: from,
-	})
+	}})
 	deadline := time.Now().Add(5 * time.Second)
 	for h.Stats().Admitted < 1 {
 		if time.Now().After(deadline) {
@@ -67,12 +68,31 @@ func TestAdminEndpoints(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/sessions content type %q", ct)
 	}
-	var infos []SessionInfo
+	// Decode into plain maps, not the struct the handler encodes, so a
+	// renamed, added or dropped JSON tag fails here: operators and
+	// ekhobench scrape these keys by name.
+	var infos []map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil {
 		t.Fatalf("/sessions JSON: %v\n%s", err, rec.Body.String())
 	}
-	if len(infos) != 1 || infos[0].ID != 7 || infos[0].Wire != "rtp" {
+	if len(infos) != 1 || infos[0]["id"] != 7.0 || infos[0]["wire"] != "rtp" {
 		t.Fatalf("/sessions = %+v, want one session 7 on rtp wire", infos)
+	}
+	wantKeys := []string{
+		"id", "wire", "frames", "measurements", "actions",
+		"pending_markers", "playback_records", "resamples",
+		"markers_injected", "markers_matched", "markers_expired", "chat_conceals",
+		"isd_last_ms", "isd_peak_abs_ms",
+		"chat_reordered", "chat_reorder_late", "chat_reorder_dups", "chat_reorder_flushed",
+	}
+	var gotKeys []string
+	for k := range infos[0] {
+		gotKeys = append(gotKeys, k)
+	}
+	slices.Sort(gotKeys)
+	slices.Sort(wantKeys)
+	if !slices.Equal(gotKeys, wantKeys) {
+		t.Fatalf("/sessions keys = %v, want %v", gotKeys, wantKeys)
 	}
 
 	// The shared registry handed in via Config is the same one the

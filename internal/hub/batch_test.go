@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"ekho/internal/metrics"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
 // startWorkers launches a hub's shard workers without a receive loop, so
-// tests can drive DispatchBatch/Dispatch directly and own the packet
+// tests can drive DispatchBatch directly and own the packet
 // lifetimes. The returned stop function shuts the hub down and waits.
 func startWorkers(h *Hub) (stop func()) {
 	for _, sh := range h.shards {
@@ -40,12 +41,12 @@ func waitArenasIdle(h *Hub) {
 // hello has been processed.
 func admitDirect(t testing.TB, h *Hub, id uint32, from net.Addr) {
 	t.Helper()
-	h.Dispatch(transport.Message{
+	h.DispatchBatch([]transport.Message{{
 		Type:    transport.TypeHello,
 		Session: id,
 		Hello:   transport.Hello{Session: id, Role: transport.RoleScreen},
 		From:    from,
-	})
+	}})
 	deadline := time.Now().Add(5 * time.Second)
 	for h.Stats().Admitted < 1 {
 		if time.Now().After(deadline) {
@@ -82,7 +83,7 @@ func TestShardOverloadShedsMediaKeepsControl(t *testing.T) {
 	h := New(Config{
 		TickEvery: -1, IdleTimeout: -1,
 		Shards: 1, QueueDepth: 2, Capacity: 8,
-		OnSessionEnd: func(id uint32, r SessionResult) { ended <- id },
+		OnSessionEnd: func(id uint32, r trace.SessionStat) { ended <- id },
 	}, conn)
 	stop := startWorkers(h)
 	defer stop()
@@ -91,7 +92,7 @@ func TestShardOverloadShedsMediaKeepsControl(t *testing.T) {
 	admitDirect(t, h, 1, from)
 
 	// Wedge the worker: a stats probe whose result nobody reads yet.
-	block := make(chan []SessionInfo)
+	block := make(chan []trace.SessionStat)
 	sh := h.shards[0]
 	if !h.enqueue(sh, work{kind: workStats, stats: block}) {
 		t.Fatal("enqueue stats probe")
@@ -258,66 +259,6 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestServeFallbackPlainConn proves the per-packet fallback path still
-// works end to end when the hub's Conn lacks batch support: sessions
-// come up and media flows out through the looped SendTo egress flush.
-func TestServeFallbackPlainConn(t *testing.T) {
-	mem := NewMemNet()
-	inner := mem.Endpoint("hub")
-	ready := make(chan uint32, 1)
-	h := New(Config{
-		TickEvery: -1, IdleTimeout: -1, Capacity: 2,
-		OnSessionReady: func(id uint32) { ready <- id },
-	}, plainConn{inner})
-	if h.bconn != nil {
-		t.Fatal("plainConn unexpectedly detected as BatchConn")
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- h.Serve() }()
-	defer h.Close()
-
-	screen := mem.Endpoint("screen")
-	ctrl := mem.Endpoint("ctrl")
-	for _, ep := range []struct {
-		c    Conn
-		role transport.Role
-	}{{screen, transport.RoleScreen}, {ctrl, transport.RoleController}} {
-		if err := ep.c.SendTo(
-			transport.EncodeHello(transport.Hello{Session: 1, Role: ep.role}),
-			inner.LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatal("session never became ready on fallback path")
-	}
-	h.Tick()
-	for _, ep := range []Conn{screen, ctrl} {
-		msg, err := ep.Recv(time.Now().Add(5 * time.Second))
-		if err != nil {
-			t.Fatalf("media never arrived on fallback path: %v", err)
-		}
-		if msg.Type != transport.TypeMedia || msg.Session != 1 {
-			t.Fatalf("got %v packet for session %d, want media for 1", msg.Type, msg.Session)
-		}
-	}
-	h.Close()
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-}
-
-// plainConn hides a MemNet endpoint's batch methods, leaving only the
-// basic Conn surface.
-type plainConn struct{ inner Conn }
-
-func (p plainConn) Recv(deadline time.Time) (transport.Message, error) { return p.inner.Recv(deadline) }
-func (p plainConn) SendTo(b []byte, to net.Addr) error                 { return p.inner.SendTo(b, to) }
-func (p plainConn) LocalAddr() net.Addr                                { return p.inner.LocalAddr() }
-func (p plainConn) Close() error                                       { return p.inner.Close() }
-
 // TestDispatchLatencyHistogram sanity-checks the quantile accounting the
 // load harness keys off.
 func TestDispatchLatencyHistogram(t *testing.T) {
@@ -355,17 +296,19 @@ func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte, func()) {
 	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: sessions}, conn)
 	stop := startWorkers(h)
 	from := mem.Endpoint("bench-client").LocalAddr()
+	hellos := make([]transport.Message, sessions)
 	raw := make([][]byte, sessions)
 	for i := range raw {
 		id := uint32(i + 1)
-		h.Dispatch(transport.Message{
+		hellos[i] = transport.Message{
 			Type:    transport.TypeHello,
 			Session: id,
 			Hello:   transport.Hello{Session: id, Role: transport.RoleScreen},
 			From:    from,
-		})
+		}
 		raw[i] = mediaDatagram(b, id, uint32(i))
 	}
+	h.DispatchBatch(hellos)
 	deadline := time.Now().Add(10 * time.Second)
 	for h.Stats().Admitted < int64(sessions) {
 		if time.Now().After(deadline) {
@@ -376,27 +319,10 @@ func benchIngestHub(b *testing.B, sessions int) (*Hub, [][]byte, func()) {
 	return h, raw, stop
 }
 
-// BenchmarkIngest compares the full decode→dispatch→worker ingest cost
-// per packet on the legacy per-packet path versus the batched path (the
-// acceptance metric for the batched wire path: ns/packet and
-// allocs/packet, 64 sessions across 8 shards).
+// BenchmarkIngest measures the full decode→dispatch→worker ingest cost
+// per packet (ns/packet and allocs/packet, 64 sessions across 8 shards).
 func BenchmarkIngest(b *testing.B) {
 	const sessions = 64
-	b.Run("perpacket", func(b *testing.B) {
-		h, raw, stop := benchIngestHub(b, sessions)
-		defer stop()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			msg, err := transport.Decode(raw[i%sessions])
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.Dispatch(msg)
-		}
-		b.StopTimer()
-		waitQuiesce(b, h, sessions)
-	})
 	b.Run("batched", func(b *testing.B) {
 		h, raw, stop := benchIngestHub(b, sessions)
 		defer stop()

@@ -5,9 +5,10 @@
 //
 // Architecture:
 //
-//   - the receive loop decodes datagrams (native v2 framing or RTP via
-//     a pluggable transport.Decoder — see internal/rtp) and
-//     demultiplexes them by session ID onto a sharded session registry:
+//   - the receive loop drains the socket in batches into recycled packet
+//     arenas, decoding each datagram (native v2 framing or RTP via a
+//     pluggable transport.Decoder — see internal/rtp), and demultiplexes
+//     them by session ID onto a sharded session registry:
 //     per-shard mutex + map, sessions pinned to shards by ID hash; each
 //     session replies in whatever framing its Hello arrived in;
 //   - each shard has one worker goroutine that executes all packet
@@ -18,9 +19,10 @@
 //     hellos with TypeBusy), idle sessions are reaped after a timeout,
 //     and Drain stops admissions while in-flight sessions finish;
 //   - every counter lives in a metrics.Registry (see internal/metrics),
-//     so the lock-free stats Snapshot, the /metrics Prometheus endpoint
-//     and the /sessions JSON endpoint (RegisterAdmin) all read the same
-//     numbers.
+//     so the lock-free stats Snapshot and the /metrics Prometheus
+//     endpoint read the same numbers; each session keeps one
+//     trace.SessionStat record, which the /sessions JSON endpoint
+//     (RegisterAdmin), OnSessionEnd, SIGHUP and ekho-replay all report.
 //
 // The single-session demo server (internal/live.RunServer) is a
 // capacity-1 hub; cmd/ekho-server runs an unrestricted one.
@@ -41,15 +43,15 @@ import (
 	"ekho/internal/gamesynth"
 	"ekho/internal/metrics"
 	"ekho/internal/rtp"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
 // Logf is a printf-style sink for hub progress output.
 type Logf func(format string, args ...any)
 
-// Conn is the datagram endpoint a hub serves on. *transport.Conn
-// implements it; tests and benchmarks substitute an in-process loopback
-// network (NewMemNet).
+// Conn is a datagram endpoint: the per-packet surface BatchConn builds
+// on, which emulated clients (MemNet endpoints) also use directly.
 type Conn interface {
 	Recv(deadline time.Time) (transport.Message, error)
 	SendTo(b []byte, to net.Addr) error
@@ -57,13 +59,13 @@ type Conn interface {
 	Close() error
 }
 
-// BatchConn is the batched wire seam: a Conn that can drain a burst of
-// datagrams per wakeup and flush a burst of sends per call. When the
-// hub's Conn implements it (both *transport.Conn and MemNet endpoints
-// do), the whole receive→dispatch→process→send path runs batched:
-// packet arenas amortize decoding, shard workers wake once per batch,
-// and per-shard egress queues flush through SendBatch. A plain Conn
-// falls back to the per-packet path.
+// BatchConn is the endpoint a hub serves on: a Conn that can drain a
+// burst of datagrams per wakeup and flush a burst of sends per call.
+// *transport.Conn implements it; tests and benchmarks substitute an
+// in-process loopback network (NewMemNet). The whole
+// receive→dispatch→process→send path runs batched: packet arenas
+// amortize decoding, shard workers wake once per batch, and per-shard
+// egress queues flush through SendBatch.
 //
 // RecvBatch fills msgs with one blocking read (until deadline) followed
 // by greedy reads until the socket runs dry or the batch fills, reusing
@@ -126,8 +128,8 @@ type Config struct {
 	// screen and controller have both joined and streaming starts.
 	OnSessionReady func(id uint32)
 	// OnSessionEnd fires when a session is removed (bye, reap or hub
-	// shutdown) with its final result.
-	OnSessionEnd func(id uint32, r SessionResult)
+	// shutdown) with its final record.
+	OnSessionEnd func(id uint32, r trace.SessionStat)
 }
 
 func (c Config) withDefaults() Config {
@@ -161,13 +163,12 @@ func (c Config) withDefaults() Config {
 // Hub is a multi-tenant Ekho session server.
 type Hub struct {
 	cfg    Config
-	conn   Conn
-	bconn  BatchConn // non-nil when conn supports batched I/O
+	conn   BatchConn
 	shards []*shard
 	stats  counters
 
 	// arenaFree recycles receive batch arenas between the receive loop
-	// and the shard workers (batched path only).
+	// and the shard workers.
 	arenaFree chan *recvArena
 
 	// coarse is the hub's coarse wall clock (UnixNano), refreshed once
@@ -189,7 +190,7 @@ type Hub struct {
 }
 
 // New returns a hub serving on conn. Call Serve to start it.
-func New(cfg Config, conn Conn) *Hub {
+func New(cfg Config, conn BatchConn) *Hub {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
@@ -202,7 +203,6 @@ func New(cfg Config, conn Conn) *Hub {
 		done:  make(chan struct{}),
 		clips: make(map[int]*audio.Buffer),
 	}
-	h.bconn, _ = conn.(BatchConn)
 	h.coarse.Store(time.Now().UnixNano())
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
@@ -276,54 +276,27 @@ func (h *Hub) Serve() error {
 		h.wg.Add(1)
 		go h.reapLoop()
 	}
-	h.logf("hub: serving on %s (capacity %d, %d shards, batched=%v)",
-		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards, h.bconn != nil)
+	h.logf("hub: serving on %s (capacity %d, %d shards)",
+		h.conn.LocalAddr(), h.cfg.Capacity, h.cfg.Shards)
 
-	var err error
-	if h.bconn != nil {
-		err = h.recvLoopBatch()
-	} else {
-		err = h.recvLoop()
-	}
+	err := h.recvLoop()
 	h.Close()
 	h.wg.Wait()
 	h.flushSessions()
 	return err
 }
 
-// recvLoop reads and dispatches datagrams one at a time until the hub
-// closes: the fallback path for plain Conns. Socket errors other than
-// shutdown and deadline expiry are propagated.
+// recvLoop drains the socket in batches until the hub closes: each
+// wakeup fills a packet arena, then hands every shard its sub-batch in
+// one queue operation. Socket errors other than shutdown and deadline
+// expiry are propagated.
 func (h *Hub) recvLoop() error {
-	for {
-		msg, err := h.conn.Recv(time.Now().Add(time.Second))
-		if err != nil {
-			if h.isClosed() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if isTimeout(err) {
-				h.coarse.Store(time.Now().UnixNano())
-				continue
-			}
-			return fmt.Errorf("hub: receive: %w", err)
-		}
-		if h.isClosed() {
-			return nil
-		}
-		h.coarse.Store(time.Now().UnixNano())
-		h.Dispatch(msg)
-	}
-}
-
-// recvLoopBatch drains the socket in batches: each wakeup fills a packet
-// arena, then hands every shard its sub-batch in one queue operation.
-func (h *Hub) recvLoopBatch() error {
 	for {
 		a := h.takeArena()
 		if a == nil {
 			return nil // hub closed while all arenas were in flight
 		}
-		n, err := h.bconn.RecvBatch(time.Now().Add(time.Second), a.msgs)
+		n, err := h.conn.RecvBatch(time.Now().Add(time.Second), a.msgs)
 		if err != nil && n == 0 {
 			h.arenaFree <- a
 			if h.isClosed() || errors.Is(err, net.ErrClosed) {
@@ -343,22 +316,6 @@ func (h *Hub) recvLoopBatch() error {
 	}
 }
 
-// Dispatch routes one decoded datagram to its session's shard worker,
-// admitting the session first if the packet is a Hello. It is normally
-// called only by the per-packet fallback receive loop; it is exported
-// for benchmarks and tests that drive the hub without a socket.
-func (h *Hub) Dispatch(msg transport.Message) {
-	h.stats.packetsIn.Add(1)
-	sh := h.shards[shardIndex(msg.Session, len(h.shards))]
-	s := h.route(sh, &msg)
-	if s == nil {
-		return
-	}
-	s.lastActive.Store(h.coarse.Load())
-	sh.cPackets.Inc()
-	h.enqueue(sh, work{kind: workPacket, msg: msg, s: s})
-}
-
 // route resolves a packet to its session, admitting on Hello and
 // counting strays. It returns nil when the packet needs no worker.
 func (h *Hub) route(sh *shard, msg *transport.Message) *session {
@@ -375,13 +332,13 @@ func (h *Hub) route(sh *shard, msg *transport.Message) *session {
 	return s
 }
 
-// DispatchBatch routes a batch of decoded datagrams with the batched
-// path's cost profile: one stats update, one coarse-clock read and one
+// DispatchBatch routes a batch of decoded datagrams exactly as the
+// receive loop does: one stats update, one coarse-clock read and one
 // queue operation per shard sub-batch. The messages' struct fields are
 // copied into an arena, but their backing arrays are shared with the
-// caller until the workers finish the batch — like Dispatch, this is
-// exported for benchmarks, tests and harnesses driving a hub without a
-// socket, which own that lifetime.
+// caller until the workers finish the batch. It is exported for
+// benchmarks, tests and harnesses driving a hub without a socket, which
+// own that lifetime.
 func (h *Hub) DispatchBatch(msgs []transport.Message) {
 	for len(msgs) > 0 {
 		a := h.takeArena()
@@ -419,7 +376,7 @@ func (h *Hub) dispatchArena(a *recvArena, n int) {
 			// Control lane: a struct copy (control packets carry no
 			// payload slices), so delivery never pins the arena.
 			select {
-			case sh.ctrl <- work{kind: workPacket, msg: *msg, s: s}:
+			case sh.ctrl <- work{kind: workCtrl, msg: *msg, s: s}:
 			default:
 				h.stats.ctrlDropped.Add(1)
 			}
@@ -612,13 +569,14 @@ func (h *Hub) flushSessions() {
 			h.stats.ended.Add(1)
 			s.closeRecorder()
 			if h.cfg.OnSessionEnd != nil {
-				h.cfg.OnSessionEnd(s.id, s.result())
+				h.cfg.OnSessionEnd(s.id, s.snapshot())
 			}
 		}
 	}
 }
 
-// send transmits one encoded datagram, counting outcomes.
+// send transmits one datagram outside the egress batches — only the
+// Busy reject, which has no session to queue on — counting outcomes.
 func (h *Hub) send(b []byte, to net.Addr) {
 	if to == nil {
 		return

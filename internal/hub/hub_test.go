@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"ekho"
+	"ekho/internal/rtp"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
@@ -110,7 +112,7 @@ func TestHubIdleReap(t *testing.T) {
 	h := New(Config{
 		TickEvery:   -1,
 		IdleTimeout: 50 * time.Millisecond,
-		OnSessionEnd: func(id uint32, r SessionResult) {
+		OnSessionEnd: func(id uint32, r trace.SessionStat) {
 			select {
 			case ended <- id:
 			default:
@@ -192,6 +194,54 @@ func TestHubDrain(t *testing.T) {
 	}
 	if s := h.Stats(); s.Rejected != 1 || s.ActiveSessions != 1 {
 		t.Errorf("stats = %v, want 1 rejected / 1 active", s)
+	}
+	h.Close()
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestBusyRejectRTPFraming checks that a Hello past capacity is refused
+// in the framing it arrived in: an RTP prober must get an RTP Busy it can
+// decode, carrying the hub's active count and capacity.
+func TestBusyRejectRTPFraming(t *testing.T) {
+	mem := NewMemNet()
+	server := mem.Endpoint("hub")
+	server.(*memConn).SetDecoder(rtp.NewCodec())
+	h := New(Config{TickEvery: -1, IdleTimeout: -1, Capacity: 1}, server)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- h.Serve() }()
+	defer h.Close()
+
+	hello := func(ep Conn, id uint32) {
+		t.Helper()
+		if err := ep.SendTo(
+			rtp.Encoder{}.AppendHello(nil, transport.Hello{Session: id, Role: transport.RoleScreen}),
+			server.LocalAddr()); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+	}
+	hello(mem.Endpoint("first"), 1)
+	deadline := time.Now().Add(2 * time.Second)
+	for h.Stats().Admitted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first session never admitted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	second := mem.Endpoint("second")
+	second.(*memConn).SetDecoder(rtp.NewCodec())
+	hello(second, 2)
+	msg, err := second.Recv(time.Now().Add(2 * time.Second))
+	if err != nil {
+		t.Fatalf("waiting for busy reject: %v", err)
+	}
+	if msg.Type != transport.TypeBusy || msg.Wire != transport.WireRTP || msg.Session != 2 {
+		t.Fatalf("got %v over %v for session %d, want an RTP TypeBusy for 2", msg.Type, msg.Wire, msg.Session)
+	}
+	if msg.Busy.Active != 1 || msg.Busy.Capacity != 1 {
+		t.Fatalf("busy = %d/%d, want 1/1", msg.Busy.Active, msg.Busy.Capacity)
 	}
 	h.Close()
 	if err := <-serveErr; err != nil {

@@ -13,6 +13,7 @@ import (
 	"ekho/internal/audio"
 	"ekho/internal/codec"
 	"ekho/internal/rtp"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
@@ -65,7 +66,7 @@ func (c *memConn) SetDecoder(d transport.Decoder) {
 // Endpoint creates (or returns) the named endpoint. The queue depth
 // plays the role of a socket buffer: sends to a full endpoint are
 // dropped, exactly like UDP under pressure.
-func (n *MemNet) Endpoint(name string) Conn {
+func (n *MemNet) Endpoint(name string) BatchConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c, ok := n.eps[name]; ok {
@@ -129,7 +130,7 @@ func (c *memConn) Recv(deadline time.Time) (transport.Message, error) {
 // RecvBatch implements hub.BatchConn: one blocking receive, then a
 // non-blocking drain of the endpoint queue until the batch fills. The
 // loopback fleet and equivalence tests therefore exercise exactly the
-// batched wire path the live UDP server runs.
+// wire path the live UDP server runs.
 func (c *memConn) RecvBatch(deadline time.Time, msgs []transport.Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -230,7 +231,7 @@ type LoopbackScenario struct {
 // LoopbackReport is the outcome of a loopback fleet run.
 type LoopbackReport struct {
 	// Results holds one entry per session the hub admitted and ended.
-	Results []SessionResult
+	Results []trace.SessionStat
 	// Rejected lists session ids refused with TypeBusy.
 	Rejected []uint32
 	// Stats is the hub's final counter snapshot.
@@ -275,7 +276,7 @@ func RunLoopback(sc LoopbackScenario) (*LoopbackReport, error) {
 	serverAddr := serverConn.LocalAddr()
 
 	var resMu sync.Mutex
-	var results []SessionResult
+	var results []trace.SessionStat
 	ready := make(chan uint32, sc.Sessions)
 	h := New(Config{
 		Capacity:       sc.Capacity,
@@ -287,7 +288,7 @@ func RunLoopback(sc LoopbackScenario) (*LoopbackReport, error) {
 		RecordDir:      sc.RecordDir,
 		Logf:           sc.Logf,
 		OnSessionReady: func(id uint32) { ready <- id },
-		OnSessionEnd: func(id uint32, r SessionResult) {
+		OnSessionEnd: func(id uint32, r trace.SessionStat) {
 			resMu.Lock()
 			results = append(results, r)
 			resMu.Unlock()

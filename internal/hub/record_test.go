@@ -12,7 +12,7 @@ import (
 // TestLoopbackRecordReplay is the acceptance gate for the capture/replay
 // subsystem on the live-server host: a loopback fleet recorded with
 // RecordDir must replay bit-identically — each session's trace re-drives
-// a fresh pipeline whose ISD sequence equals the hub's SessionResult
+// a fresh pipeline whose ISD sequence equals the hub's session record
 // exactly.
 func TestLoopbackRecordReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -27,7 +27,7 @@ func TestLoopbackRecordReplay(t *testing.T) {
 	if len(rpt.Results) != 3 {
 		t.Fatalf("expected 3 session results, got %d", len(rpt.Results))
 	}
-	byID := make(map[uint32]SessionResult, len(rpt.Results))
+	byID := make(map[uint32]trace.SessionStat, len(rpt.Results))
 	for _, r := range rpt.Results {
 		byID[r.ID] = r
 	}

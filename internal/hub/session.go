@@ -26,27 +26,6 @@ const frameSec = float64(ekho.FrameSamples) / ekho.SampleRate
 // sync target.
 const chatReorderWindow = 4
 
-// SessionResult summarizes one hosted session after it ends.
-type SessionResult struct {
-	// ID is the wire session identifier.
-	ID uint32
-	// Measurements / Actions count estimator outputs and compensator
-	// corrections over the session's lifetime; Resamples counts drift
-	// rate retunes.
-	Measurements int
-	Actions      int
-	Resamples    int
-	// PostActionMeasurements counts measurements taken after the first
-	// correction was applied (a convergence proof needs at least one).
-	PostActionMeasurements int
-	// FirstActionFrames is the insert size of the first compensation.
-	FirstActionFrames int
-	// ISDs holds every measured ISD in seconds, in order.
-	ISDs []float64
-	// Frames is the number of media frame pairs streamed.
-	Frames int
-}
-
 // session hosts one Ekho pipeline on the hub: it owns the socket I/O and
 // wire serialization for two endpoints and delegates everything else —
 // streams, markers, estimation, compensation — to a serverpipe.Pipeline.
@@ -57,17 +36,18 @@ type session struct {
 	hub   *Hub
 	shard *shard // the shard this session is pinned to (egress queue)
 
-	// wire is the framing the session helloed in; enc is the matching
-	// stateless encoder, used for every packet sent to this session.
-	wire transport.Wire
-	enc  transport.WireEncoder
+	// enc is the stateless encoder for the framing the session helloed
+	// in (stat.Wire names it), used for every packet sent to it.
+	enc transport.WireEncoder
 
 	screenAddr     net.Addr
 	controllerAddr net.Addr
 	ready          bool
 
 	pipe *serverpipe.Pipeline
-	res  SessionResult
+	// stat is the session's record, fed by the EventSink callbacks;
+	// snapshot fills in the pipeline and resequencer sizes.
+	stat trace.SessionStat
 
 	// reorder resequences the chat uplink ahead of the pipeline's
 	// ChatSequencer; hold stores the payload copies for parked packets
@@ -76,15 +56,6 @@ type session struct {
 	reorder     *jitterbuf.Reorder
 	hold        []heldChat
 	lastReorder jitterbuf.ReorderStats
-
-	// Per-session observability, fed by the EventSink callbacks and
-	// served by the /sessions admin endpoint.
-	injected  int
-	matched   int
-	expired   int
-	conceals  int
-	isdLastMS float64
-	isdPeakMS float64 // peak |ISD|
 
 	// rec captures the session's timeline when the hub records; recFile
 	// is the backing log file. Both are touched only on the shard worker
@@ -123,9 +94,8 @@ func (h *Hub) newSession(sh *shard, id uint32, wire transport.Wire) *session {
 		id:      id,
 		hub:     h,
 		shard:   sh,
-		wire:    wire,
 		enc:     wireEncoder(wire),
-		res:     SessionResult{ID: id},
+		stat:    trace.SessionStat{ID: id, Wire: wire.String()},
 		reorder: jitterbuf.NewReorder(chatReorderWindow),
 		hold:    make([]heldChat, chatReorderWindow),
 		frame:   make([]float64, ekho.FrameSamples),
@@ -243,7 +213,7 @@ func (s *session) tick() {
 	if s.rec != nil {
 		s.rec.MediaOut(trace.StreamAccessory, fi, s.lastPkt)
 	}
-	s.res.Frames++
+	s.stat.Frames++
 }
 
 // chatIn runs one uplink packet through the reorder stage and delivers
@@ -323,10 +293,6 @@ func (s *session) chat(chat transport.Chat) {
 	s.pipe.OfferChat(chat.Seq, adc, chat.Encoded)
 }
 
-// result snapshots the session's outcome; callers must hold the shard
-// worker's serialization (remove path or post-shutdown).
-func (s *session) result() SessionResult { return s.res }
-
 // sendMedia serializes the session's scratch frame as the media payload
 // into buf (reusing its capacity) and queues it on the shard's egress;
 // the worker's end-of-item flush transmits it. It returns the grown
@@ -349,43 +315,31 @@ func (s *session) sendMedia(buf []byte, to net.Addr, m transport.Media) []byte {
 	return out
 }
 
-// info snapshots the session for the admin plane; shard workers call it
-// for the hub's SessionInfos collection (trace.SessionStat lines are
-// derived from it, so the two views can never drift).
-func (s *session) info() SessionInfo {
+// snapshot copies the session's record for /sessions, SIGHUP and
+// OnSessionEnd; callers must hold the shard worker's serialization (a
+// worker, the remove path or post-shutdown). The ISD slice is capped so
+// a caller's append can never write into the live session's log.
+func (s *session) snapshot() trace.SessionStat {
+	st := s.stat
+	st.ISDs = st.ISDs[:len(st.ISDs):len(st.ISDs)]
+	st.Pending = s.pipe.PendingMarkers()
+	st.Records = s.pipe.RecordCount()
 	rs := s.reorder.Stats()
-	return SessionInfo{
-		ID:           s.id,
-		Wire:         s.wire.String(),
-		Frames:       s.res.Frames,
-		Measurements: s.res.Measurements,
-		Actions:      s.res.Actions,
-		Pending:      s.pipe.PendingMarkers(),
-		Records:      s.pipe.RecordCount(),
-		Resamples:    s.res.Resamples,
-		Injected:     s.injected,
-		Matched:      s.matched,
-		Expired:      s.expired,
-		Conceals:     s.conceals,
-		ISDLastMS:    s.isdLastMS,
-		ISDPeakAbsMS: s.isdPeakMS,
-		ReorderHeld:  rs.Held,
-		ReorderLate:  rs.Late,
-		ReorderDups:  rs.Duplicates,
-		GapsFlushed:  rs.Flushed + rs.Overflows,
-	}
+	st.ReorderHeld, st.ReorderLate, st.ReorderDups = rs.Held, rs.Late, rs.Duplicates
+	st.GapsFlushed = rs.Flushed + rs.Overflows
+	return st
 }
 
-// The session is its pipeline's EventSink: measurement and action events
-// feed the hub's per-session results and fleet counters, and are teed to
-// the trace recorder when the hub records.
+// The session is its pipeline's EventSink: every event updates the
+// session's record and the fleet counters, and is teed to the trace
+// recorder when the hub records.
 
 // MarkerInjected implements serverpipe.EventSink.
 func (s *session) MarkerInjected(content int64) {
 	if s.rec != nil {
 		s.rec.MarkerInjected(content)
 	}
-	s.injected++
+	s.stat.Injected++
 	s.hub.stats.injections.Inc()
 }
 
@@ -394,7 +348,7 @@ func (s *session) MarkerMatched(content int64, localTime float64) {
 	if s.rec != nil {
 		s.rec.MarkerMatched(content, localTime)
 	}
-	s.matched++
+	s.stat.Matched++
 	s.hub.stats.matches.Inc()
 }
 
@@ -403,7 +357,7 @@ func (s *session) MarkerExpired(content int64) {
 	if s.rec != nil {
 		s.rec.MarkerExpired(content)
 	}
-	s.expired++
+	s.stat.Expired++
 	s.hub.stats.expired.Inc()
 	s.hub.logf("hub: session %d: marker at content %d expired unmatched", s.id, content)
 }
@@ -413,7 +367,7 @@ func (s *session) ChatGapConcealed(seq uint32, startLocal float64) {
 	if s.rec != nil {
 		s.rec.ChatGapConcealed(seq, startLocal)
 	}
-	s.conceals++
+	s.stat.Conceals++
 	s.hub.stats.conceals.Inc()
 }
 
@@ -422,15 +376,15 @@ func (s *session) ISDMeasurement(now float64, m ekho.Measurement) {
 	if s.rec != nil {
 		s.rec.ISDMeasurement(now, m)
 	}
-	s.res.Measurements++
+	s.stat.Measurements++
 	s.hub.stats.measurements.Add(1)
-	if s.res.Actions > 0 {
-		s.res.PostActionMeasurements++
+	if s.stat.Actions > 0 {
+		s.stat.PostActionMeasurements++
 	}
-	s.res.ISDs = append(s.res.ISDs, m.ISDSeconds)
-	s.isdLastMS = m.ISDSeconds * 1000
-	if abs := math.Abs(s.isdLastMS); abs > s.isdPeakMS {
-		s.isdPeakMS = abs
+	s.stat.ISDs = append(s.stat.ISDs, m.ISDSeconds)
+	s.stat.ISDLastMS = m.ISDSeconds * 1000
+	if abs := math.Abs(s.stat.ISDLastMS); abs > s.stat.ISDPeakAbsMS {
+		s.stat.ISDPeakAbsMS = abs
 		s.hub.stats.isdPeakMS.Observe(abs)
 	}
 	s.hub.logf("hub: session %d: ISD measurement %+.1f ms (strength %.0f)", s.id, m.ISDSeconds*1000, m.Strength)
@@ -441,10 +395,10 @@ func (s *session) CompensationAction(now float64, a ekho.Action) {
 	if s.rec != nil {
 		s.rec.CompensationAction(now, a)
 	}
-	s.res.Actions++
+	s.stat.Actions++
 	s.hub.stats.actions.Add(1)
-	if s.res.Actions == 1 {
-		s.res.FirstActionFrames = a.InsertFrames
+	if s.stat.Actions == 1 {
+		s.stat.FirstActionFrames = a.InsertFrames
 	}
 	s.hub.logf("hub: session %d: compensation %v stream insert=%d skip=%d frames",
 		s.id, a.Stream, a.InsertFrames, a.SkipFrames)
@@ -455,7 +409,7 @@ func (s *session) ResampleApplied(now float64, r ekho.Resample) {
 	if s.rec != nil {
 		s.rec.ResampleApplied(now, r)
 	}
-	s.res.Resamples++
+	s.stat.Resamples++
 	s.hub.stats.resamples.Add(1)
 	s.hub.logf("hub: session %d: resample %v stream rate %+.1f ppm", s.id, r.Stream, r.PPM)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ekho/internal/metrics"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
@@ -45,21 +46,21 @@ type shard struct {
 type workKind uint8
 
 const (
-	workPacket workKind = iota
+	workCtrl workKind = iota
 	workBatch
 	workTick
 	workReap
 	workStats
 )
 
-// work is one unit handed to a shard worker: a batch of packets (the
-// batched receive path), a single packet (control lane and the
-// per-packet fallback), a media tick for every session in the shard, or
-// a reap probe.
+// work is one unit handed to a shard worker: a batch of data packets, a
+// single Hello or Bye (the control lane), a media tick for every session
+// in the shard, a reap probe or a stats probe.
 type work struct {
 	kind workKind
-	msg  transport.Message
-	s    *session
+	// msg/s carry a control packet and its session.
+	msg transport.Message
+	s   *session
 	// items/arena/stamp carry a receive sub-batch: the packets, the
 	// arena to release afterwards, and the dispatch time (UnixNano) that
 	// feeds the dispatch-latency histogram.
@@ -74,7 +75,7 @@ type work struct {
 	// stats receives the shard's per-session snapshots (workStats): the
 	// worker owns session state, so snapshots are taken on it and the
 	// requester waits on this channel.
-	stats chan<- []SessionInfo
+	stats chan<- []trace.SessionStat
 }
 
 // shardIndex pins a session ID to a shard. Session IDs are arbitrary
@@ -145,7 +146,7 @@ func (h *Hub) worker(sh *shard) {
 // egress it queued.
 func (h *Hub) process(sh *shard, w work) {
 	switch w.kind {
-	case workPacket:
+	case workCtrl:
 		if done := w.s.handle(&w.msg); done {
 			h.remove(sh, w.s, false)
 		}
@@ -179,36 +180,29 @@ func (h *Hub) process(sh *shard, w work) {
 			sh.scratch = append(sh.scratch, s)
 		}
 		sh.mu.Unlock()
-		infos := make([]SessionInfo, 0, len(sh.scratch))
+		stats := make([]trace.SessionStat, 0, len(sh.scratch))
 		for _, s := range sh.scratch {
-			infos = append(infos, s.info())
+			stats = append(stats, s.snapshot())
 		}
-		w.stats <- infos
+		w.stats <- stats
 	}
 	h.flushEgress(sh)
 }
 
-// flushEgress transmits the shard's queued outbound datagrams: one
-// SendBatch on the batched path, a SendTo loop on the fallback. Called
-// only on the shard's worker, after which the sessions' packet buffers
-// are free to be reused.
+// flushEgress transmits the shard's queued outbound datagrams in one
+// SendBatch. Called only on the shard's worker, after which the
+// sessions' packet buffers are free to be reused.
 func (h *Hub) flushEgress(sh *shard) {
 	if len(sh.egress) == 0 {
 		return
 	}
-	if h.bconn != nil {
-		sent, _ := h.bconn.SendBatch(sh.egress)
-		h.stats.packetsOut.Add(int64(sent))
-		h.stats.sendErrs.Add(int64(len(sh.egress) - sent))
-	} else {
-		for i := range sh.egress {
-			h.send(sh.egress[i].Buf, sh.egress[i].To)
-		}
-	}
+	sent, _ := h.conn.SendBatch(sh.egress)
+	h.stats.packetsOut.Add(int64(sent))
+	h.stats.sendErrs.Add(int64(len(sh.egress) - sent))
 	sh.egress = sh.egress[:0]
 }
 
-// remove unregisters a session and emits its result. Called only from
+// remove unregisters a session and emits its record. Called only from
 // the shard's worker (or from shutdown after workers stopped), so the
 // session's pipeline state is quiescent.
 func (h *Hub) remove(sh *shard, s *session, reaped bool) {
@@ -230,6 +224,6 @@ func (h *Hub) remove(sh *shard, s *session, reaped bool) {
 	}
 	s.closeRecorder()
 	if h.cfg.OnSessionEnd != nil {
-		h.cfg.OnSessionEnd(s.id, s.result())
+		h.cfg.OnSessionEnd(s.id, s.snapshot())
 	}
 }

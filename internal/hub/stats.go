@@ -3,7 +3,6 @@ package hub
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -173,9 +172,8 @@ func (l LatencyHist) Quantile(q float64) time.Duration {
 	return time.Duration(uint64(1) << (latBuckets - 1))
 }
 
-// DispatchLatency snapshots the batched path's receive-to-worker latency
-// histogram. Only batches carry latency stamps; the legacy per-packet
-// Dispatch path does not contribute.
+// DispatchLatency snapshots the receive-to-worker latency histogram of
+// data packets (control packets ride their own lane unstamped).
 func (h *Hub) DispatchLatency() LatencyHist {
 	var l LatencyHist
 	for i := range l {
@@ -247,75 +245,31 @@ func (h *Hub) Stats() Snapshot {
 	}
 }
 
-// SessionInfo is the rich per-session snapshot served by the /sessions
-// admin endpoint: the stable stat-line fields plus wire codec, marker
-// and conceal counters, resequencer activity and the session's last and
-// peak ISD.
-type SessionInfo struct {
-	ID           uint32  `json:"id"`
-	Wire         string  `json:"wire"`
-	Frames       int     `json:"frames"`
-	Measurements int     `json:"measurements"`
-	Actions      int     `json:"actions"`
-	Pending      int     `json:"pending_markers"`
-	Records      int     `json:"playback_records"`
-	Resamples    int     `json:"resamples"`
-	Injected     int     `json:"markers_injected"`
-	Matched      int     `json:"markers_matched"`
-	Expired      int     `json:"markers_expired"`
-	Conceals     int     `json:"chat_conceals"`
-	ISDLastMS    float64 `json:"isd_last_ms"`
-	ISDPeakAbsMS float64 `json:"isd_peak_abs_ms"`
-	ReorderHeld  uint64  `json:"chat_reordered"`
-	ReorderLate  uint64  `json:"chat_reorder_late"`
-	ReorderDups  uint64  `json:"chat_reorder_dups"`
-	GapsFlushed  uint64  `json:"chat_reorder_flushed"`
-}
-
-// SessionInfos snapshots every live session. Snapshots are taken on the
-// shard workers — the owners of session state — so the result is
-// race-free; the call therefore waits briefly behind in-flight work. It
-// returns nil after the hub has closed. Results are sorted by session
-// ID.
-func (h *Hub) SessionInfos() []SessionInfo {
-	ch := make(chan []SessionInfo, len(h.shards))
+// SessionInfos snapshots every live session's record: the /sessions
+// JSON and, through SessionStat.String, the SIGHUP lines. Snapshots are
+// taken on the shard workers — the owners of session state — so the
+// result is race-free; the call therefore waits briefly behind in-flight
+// work. It returns nil after the hub has closed. Results are sorted by
+// session ID.
+func (h *Hub) SessionInfos() []trace.SessionStat {
+	ch := make(chan []trace.SessionStat, len(h.shards))
 	asked := 0
 	for _, sh := range h.shards {
 		if h.enqueue(sh, work{kind: workStats, stats: ch}) {
 			asked++
 		}
 	}
-	var all []SessionInfo
+	var all []trace.SessionStat
 	for i := 0; i < asked; i++ {
 		select {
-		case infos := <-ch:
-			all = append(all, infos...)
+		case stats := <-ch:
+			all = append(all, stats...)
 		case <-h.done:
 			return nil
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	trace.SortSessionStats(all)
 	return all
-}
-
-// SessionStats snapshots every live session in the stable one-line-per-
-// session format (trace.SessionStat): a thin projection of SessionInfos,
-// so live SIGHUP dumps and replay reports line up line for line.
-func (h *Hub) SessionStats() []trace.SessionStat {
-	infos := h.SessionInfos()
-	stats := make([]trace.SessionStat, len(infos))
-	for i, in := range infos {
-		stats[i] = trace.SessionStat{
-			ID:           in.ID,
-			Frames:       in.Frames,
-			Measurements: in.Measurements,
-			Actions:      in.Actions,
-			Pending:      in.Pending,
-			Records:      in.Records,
-			Resamples:    in.Resamples,
-		}
-	}
-	return stats
 }
 
 // String formats the snapshot as a one-line status report.

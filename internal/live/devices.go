@@ -48,8 +48,8 @@ func busyErr(b transport.Busy) error {
 // port after a configurable extra delay.
 type ScreenConfig struct {
 	Server string
-	// Session is the wire session identifier to join (0 joins a v1
-	// single-session server).
+	// Session is the wire session identifier to join (0 is an
+	// ordinary session, the default).
 	Session      uint32
 	Air          string
 	ExtraDelay   time.Duration
@@ -196,8 +196,8 @@ func RunScreen(cfg ScreenConfig) (ScreenStats, error) {
 // ClientConfig configures the live controller/headset role.
 type ClientConfig struct {
 	Server string
-	// Session is the wire session identifier to join (0 joins a v1
-	// single-session server).
+	// Session is the wire session identifier to join (0 is an
+	// ordinary session, the default).
 	Session      uint32
 	AirListen    string
 	ClockOffset  time.Duration

@@ -18,6 +18,7 @@ import (
 
 	"ekho/internal/hub"
 	"ekho/internal/rtp"
+	"ekho/internal/trace"
 	"ekho/internal/transport"
 )
 
@@ -88,7 +89,7 @@ func RunServer(cfg ServerConfig) (ServerStats, error) {
 		OnSessionReady: func(id uint32) {
 			onceRdy.Do(func() { close(ready) })
 		},
-		OnSessionEnd: func(id uint32, r hub.SessionResult) {
+		OnSessionEnd: func(id uint32, r trace.SessionStat) {
 			statsMu.Lock()
 			defer statsMu.Unlock()
 			if haveStat {

@@ -183,26 +183,50 @@ func (r *Recorder) ResampleApplied(now float64, rs compensator.Resample) {
 	r.emit(RecResample, b)
 }
 
-// SessionStat is the stable per-session status line shared by every
-// surface that reports on a session — the live server's SIGHUP dump, the
-// replayer's final report, tests. One line per session, fixed field
-// order; the format is documented in the README and must only ever grow
-// at the tail.
+// SessionStat is the one per-session record: the hub's /sessions JSON,
+// its OnSessionEnd result, the live server's SIGHUP dump and the
+// replayer's final report are all this struct. String renders the stable
+// one-line status format; the format is documented in the README and
+// must only ever grow at the tail. JSON tags are the /sessions keys
+// operators scrape, so they never change.
 type SessionStat struct {
-	// ID is the wire session identifier.
-	ID uint32
+	// ID is the wire session identifier; Wire is the framing the session
+	// helloed in ("" for a replay).
+	ID   uint32 `json:"id"`
+	Wire string `json:"wire"`
 	// Frames counts produced media frame pairs.
-	Frames int
+	Frames int `json:"frames"`
 	// Measurements / Actions count estimator outputs and compensator
 	// corrections.
-	Measurements int
-	Actions      int
+	Measurements int `json:"measurements"`
+	Actions      int `json:"actions"`
 	// Pending / Records are the marker-ledger and record-book sizes.
-	Pending int
-	Records int
+	Pending int `json:"pending_markers"`
+	Records int `json:"playback_records"`
 	// Resamples counts drift-regime rate retunes (tail growth: 0 for
 	// every session without the drift regime).
-	Resamples int
+	Resamples int `json:"resamples"`
+	// Marker lifecycle and chat gap concealment counters.
+	Injected int `json:"markers_injected"`
+	Matched  int `json:"markers_matched"`
+	Expired  int `json:"markers_expired"`
+	Conceals int `json:"chat_conceals"`
+	// ISDLastMS / ISDPeakAbsMS are the latest and the peak |ISD|.
+	ISDLastMS    float64 `json:"isd_last_ms"`
+	ISDPeakAbsMS float64 `json:"isd_peak_abs_ms"`
+	// Chat uplink resequencer activity (jitterbuf.Reorder).
+	ReorderHeld uint64 `json:"chat_reordered"`
+	ReorderLate uint64 `json:"chat_reorder_late"`
+	ReorderDups uint64 `json:"chat_reorder_dups"`
+	GapsFlushed uint64 `json:"chat_reorder_flushed"`
+	// PostActionMeasurements counts measurements taken after the first
+	// correction (a convergence proof needs at least one);
+	// FirstActionFrames is the insert size of the first correction; ISDs
+	// holds every measured ISD in seconds, in order. None are served on
+	// /sessions.
+	PostActionMeasurements int       `json:"-"`
+	FirstActionFrames      int       `json:"-"`
+	ISDs                   []float64 `json:"-"`
 }
 
 // String renders the stable one-line format:

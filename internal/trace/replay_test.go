@@ -3,6 +3,7 @@ package trace_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ekho/internal/session"
@@ -147,7 +148,7 @@ func TestReplayTwiceIdentical(t *testing.T) {
 	if !a.OK() || !b.OK() {
 		t.Fatalf("replays diverged: %d / %d", a.DivergenceCount, b.DivergenceCount)
 	}
-	if a.Final != b.Final {
+	if !reflect.DeepEqual(a.Final, b.Final) {
 		t.Fatalf("final stats differ:\n%s\n%s", a.Final, b.Final)
 	}
 	if len(a.ISDs) != len(b.ISDs) {

@@ -27,8 +27,8 @@ func sampleChat(session uint32) Chat {
 }
 
 // TestAppendMatchesEncode checks the append-style encoders produce
-// byte-identical datagrams to the allocating ones, for both v1 (session 0)
-// and v2 headers.
+// byte-identical datagrams to the allocating ones, for session 0 and a
+// nonzero session.
 func TestAppendMatchesEncode(t *testing.T) {
 	for _, session := range []uint32{0, 77} {
 		m := sampleMedia(session)

@@ -3,7 +3,7 @@ package transport
 import "testing"
 
 // FuzzDecode hammers the wire parser with arbitrary bytes: it must never
-// panic, must round-trip its own encodings (v1 and v2 headers alike), and
+// panic, must round-trip its own encodings (session 0 or not), and
 // anything it accepts must survive a re-encode/re-decode cycle.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -24,10 +24,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeBye(Bye{Seq: 4}))
 	f.Add(EncodeBye(Bye{Seq: 4, Session: 11}))
 	f.Add(EncodeBusy(Busy{Seq: 5, Session: 65, Active: 64, Capacity: 64}))
-	f.Add([]byte{0x09, 0xE5, 0x02, 0x00, 0xFF, 0xFF, 0xFF, 0xFF})    // v1 header only
-	f.Add([]byte{0x09, 0xE5, 0x02, 0x01, 0xFF, 0xFF, 0xFF, 0xFF})    // v2 header truncated before session
+	f.Add([]byte{0x09, 0xE5, 0x02, 0x00, 0xFF, 0xFF, 0xFF, 0xFF})    // flagless (v1) header: rejected
+	f.Add([]byte{0x09, 0xE5, 0x02, 0x01, 0xFF, 0xFF, 0xFF, 0xFF})    // header truncated before session
 	f.Add([]byte{0x09, 0xE5, 0x05, 0x01, 0, 0, 0, 0, 1, 0, 0, 0})    // busy with session, no body
-	f.Add([]byte{0x09, 0xE5, 0x01, 0xFE, 0, 0, 0, 0, 1, 0, 0, 0, 1}) // unknown flag bits
+	f.Add([]byte{0x09, 0xE5, 0x01, 0xFF, 0, 0, 0, 0, 1, 0, 0, 0, 1}) // unknown flag bits beside FlagSession
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64*1024 {
 			// Above the datagram limit Recv would never see it, and a

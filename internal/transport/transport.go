@@ -7,7 +7,7 @@
 //
 // Wire format (all little-endian):
 //
-//	header:  magic u16 | type u8 | flags u8 | seq u32 | [session u32]
+//	header:  magic u16 | type u8 | flags u8 | seq u32 | session u32
 //	media:   header | contentStart i64 | contentOff u16 | nSamples u16 | samples i16...
 //	chat:    header | adcLocalMicros i64 | nRecords u16 |
 //	         records {contentStart i64, localMicros i64, n u16}... |
@@ -17,13 +17,12 @@
 //	busy:    header | active u32 | capacity u32
 //	marker:  header | contentStart i64   (server -> estimator internal use)
 //
-// Protocol versioning: the original (v1) header is 8 bytes with flags
-// always zero. Version 2 adds a 32-bit session identifier for
-// multi-tenant servers (internal/hub): when FlagSession is set in the
-// flags byte, the header carries a trailing session u32. Packets with
-// session 0 are encoded in the v1 format, so v1 endpoints and v2
-// endpoints interoperate for the default session; unknown flag bits are
-// ignored on decode for forward compatibility.
+// Protocol version 2: every header sets FlagSession in the flags byte
+// and carries the 32-bit session identifier multi-tenant servers
+// (internal/hub) route by, so the header is always 12 bytes. Session 0
+// is an ordinary session. A header without FlagSession (the retired v1
+// format) is rejected as ErrBadPacket; other flag bits are ignored on
+// decode for forward compatibility.
 package transport
 
 import (
@@ -53,7 +52,8 @@ const (
 	TypeBusy
 )
 
-// FlagSession marks a v2 header carrying a trailing session u32.
+// FlagSession marks a v2 header carrying a trailing session u32; every
+// valid header sets it.
 const FlagSession = 0x01
 
 // Role identifies an endpoint in Hello packets.
@@ -144,7 +144,7 @@ type Wire uint8
 
 // Wire codecs.
 const (
-	// WireV2 is this package's native framing (the v1/v2 header above).
+	// WireV2 is this package's native framing (the header above).
 	WireV2 Wire = iota
 	// WireRTP is standards-shaped RTP framing (internal/rtp): a 12-byte
 	// RFC 3550 header carrying the same little-endian payload bodies.
@@ -235,46 +235,31 @@ func (V2) AppendBusy(dst []byte, b Busy) []byte { return AppendBusy(dst, b) }
 // DecodeInto implements Decoder.
 func (V2) DecodeInto(msg *Message, b []byte) error { return DecodeInto(msg, b) }
 
-// appendHeader appends a v1 (8-byte) or v2 (12-byte, session-flagged)
-// header to dst.
-func appendHeader(dst []byte, t PacketType, seq, session uint32) []byte {
-	flags := byte(0)
-	if session != 0 {
-		flags = FlagSession
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, Magic)
-	dst = append(dst, byte(t), flags)
-	dst = binary.LittleEndian.AppendUint32(dst, seq)
-	if session != 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, session)
-	}
-	return dst
-}
+// headerLen is the encoded header size.
+const headerLen = 12
 
-// headerLen returns the encoded header size for the session id.
-func headerLen(session uint32) int {
-	if session != 0 {
-		return 12
-	}
-	return 8
+// appendHeader appends a header to dst.
+func appendHeader(dst []byte, t PacketType, seq, session uint32) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, Magic)
+	dst = append(dst, byte(t), FlagSession)
+	dst = binary.LittleEndian.AppendUint32(dst, seq)
+	return binary.LittleEndian.AppendUint32(dst, session)
 }
 
 func parseHeader(b []byte) (t PacketType, seq, session uint32, body []byte, err error) {
-	if len(b) < 8 || binary.LittleEndian.Uint16(b[0:]) != Magic {
+	if len(b) < 4 || binary.LittleEndian.Uint16(b[0:]) != Magic {
 		return 0, 0, 0, nil, ErrBadPacket
 	}
-	t = PacketType(b[2])
-	flags := b[3]
-	seq = binary.LittleEndian.Uint32(b[4:])
-	body = b[8:]
-	if flags&FlagSession != 0 {
-		if len(body) < 4 {
-			return 0, 0, 0, nil, fmt.Errorf("%w: truncated session header", ErrBadPacket)
-		}
-		session = binary.LittleEndian.Uint32(body)
-		body = body[4:]
+	if b[3]&FlagSession == 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: header without session flag", ErrBadPacket)
 	}
-	return t, seq, session, body, nil
+	if len(b) < headerLen {
+		return 0, 0, 0, nil, fmt.Errorf("%w: truncated header", ErrBadPacket)
+	}
+	t = PacketType(b[2])
+	seq = binary.LittleEndian.Uint32(b[4:])
+	session = binary.LittleEndian.Uint32(b[8:])
+	return t, seq, session, b[headerLen:], nil
 }
 
 // EncodeMedia serializes a media frame. It refuses frames whose sample
@@ -291,7 +276,7 @@ func AppendMedia(dst []byte, m Media) ([]byte, error) {
 	if len(m.Samples) > maxCount {
 		return dst, fmt.Errorf("%w: %d samples > %d", ErrOversize, len(m.Samples), maxCount)
 	}
-	if headerLen(m.Session)+12+2*len(m.Samples) > maxDatagram {
+	if headerLen+MediaBodyLen(m) > maxDatagram {
 		return dst, fmt.Errorf("%w: media datagram with %d samples > %d bytes", ErrOversize, len(m.Samples), maxDatagram)
 	}
 	dst = appendHeader(dst, TypeMedia, m.Seq, m.Session)
@@ -376,7 +361,7 @@ func AppendChat(dst []byte, c Chat) ([]byte, error) {
 	if len(c.Encoded) > maxCount {
 		return dst, fmt.Errorf("%w: %d encoded bytes > %d", ErrOversize, len(c.Encoded), maxCount)
 	}
-	if headerLen(c.Session)+10+18*len(c.Records)+2+len(c.Encoded) > maxDatagram {
+	if headerLen+ChatBodyLen(c) > maxDatagram {
 		return dst, fmt.Errorf("%w: chat datagram > %d bytes", ErrOversize, maxDatagram)
 	}
 	dst = appendHeader(dst, TypeChat, c.Seq, c.Session)
@@ -520,8 +505,8 @@ func DecodeBusy(seq, session uint32, body []byte) (Busy, error) {
 // Message is a decoded incoming datagram plus its sender.
 type Message struct {
 	Type PacketType
-	// Session is the header's session identifier (0 for v1 packets; the
-	// SSRC for RTP framing).
+	// Session is the header's session identifier (the SSRC for RTP
+	// framing).
 	Session uint32
 	// Wire records which framing carried the datagram, set by the
 	// decoder. Servers latch it from a session's first Hello so replies

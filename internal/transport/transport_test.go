@@ -118,7 +118,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("hello: %+v err %v", msg, err)
 	}
 	if msg.Session != 0 || msg.Hello.Session != 0 {
-		t.Fatalf("v1 hello must decode with session 0: %+v", msg)
+		t.Fatalf("session-0 hello must decode with session 0: %+v", msg)
 	}
 }
 
@@ -163,34 +163,30 @@ func TestBusyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1HeaderCompat pins the on-wire backward compatibility: session-0
-// packets must be byte-identical to the v1 format (8-byte header, zero
-// flags), and hand-built v1 datagrams must decode.
-func TestV1HeaderCompat(t *testing.T) {
-	b := mustMedia(t, Media{Seq: 9, ContentStart: 960, Samples: []int16{5}})
-	if b[3] != 0 {
-		t.Fatalf("session-0 media must keep v1 zero flags, got %#x", b[3])
+// TestSessionZeroHeader pins session 0 as an ordinary session: it is
+// encoded with the full 12-byte session-flagged header and round-trips,
+// while a flagless (retired v1) header is a bad packet.
+func TestSessionZeroHeader(t *testing.T) {
+	b := EncodeHello(Hello{Seq: 11, Role: RoleScreen})
+	if len(b) != 12+1 || b[3]&FlagSession == 0 {
+		t.Fatalf("session-0 hello = %x, want a 12-byte session-flagged header", b)
 	}
-	// Hand-built v1 hello: magic | type | flags=0 | seq.
-	v1 := make([]byte, 9)
-	binary.LittleEndian.PutUint16(v1[0:], Magic)
-	v1[2] = byte(TypeHello)
-	binary.LittleEndian.PutUint32(v1[4:], 11)
-	v1[8] = byte(RoleScreen)
-	msg, err := Decode(v1)
-	if err != nil || msg.Hello.Seq != 11 || msg.Hello.Role != RoleScreen || msg.Session != 0 {
-		t.Fatalf("v1 hello decode: %+v err %v", msg, err)
+	if sid := binary.LittleEndian.Uint32(b[8:]); sid != 0 {
+		t.Fatalf("session-0 hello carries session %d", sid)
 	}
-	// The same payload with FlagSession set and a session id appended
-	// must carry the id.
-	b2 := EncodeHello(Hello{Seq: 11, Session: 5, Role: RoleScreen})
-	msg2, err := Decode(b2)
-	if err != nil || msg2.Session != 5 {
-		t.Fatalf("v2 hello decode: %+v err %v", msg2, err)
+	msg, err := Decode(b)
+	if err != nil || msg.Type != TypeHello || msg.Hello.Seq != 11 || msg.Hello.Role != RoleScreen || msg.Session != 0 {
+		t.Fatalf("session-0 hello decode: %+v err %v", msg, err)
 	}
-	// A v2 header truncated before its session id is a bad packet.
-	if _, err := Decode(b2[:8]); !errors.Is(err, ErrBadPacket) {
-		t.Fatalf("truncated v2 header: %v", err)
+	// The same datagram with FlagSession cleared is the v1 format.
+	v1 := append([]byte(nil), b...)
+	v1[3] = 0
+	if _, err := Decode(v1); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("flagless header: %v, want ErrBadPacket", err)
+	}
+	// A header truncated before its session id is a bad packet.
+	if _, err := Decode(b[:8]); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("truncated header: %v", err)
 	}
 }
 
@@ -264,7 +260,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 // TestReEncodeStability: decoding then re-encoding a well-formed packet
-// reproduces the original bytes for every packet type, v1 and v2.
+// reproduces the original bytes for every packet type, session 0 or not.
 func TestReEncodeStability(t *testing.T) {
 	packets := [][]byte{
 		mustMedia(t, Media{Seq: 1, ContentStart: 960, ContentOff: 3, Samples: []int16{9, -9}}),
